@@ -206,9 +206,12 @@ def measure_streaming_cell(trace_length: int, block_size: int) -> dict:
     """Time a streamed cold build and a streamed simulation.
 
     Bypasses the trace cache (a fresh uncached stream per timing), so
-    both numbers are genuine block-at-a-time throughput: the scalar
-    emitters behind a bounded pump for the build, the block-windowed
-    ``Simulator`` loop for the run.
+    both numbers are genuine block-at-a-time throughput: the windowed
+    vectorized kernels for the build, the block-windowed ``Simulator``
+    loop for the run.  The materialized build of the same spec is timed
+    alongside: both run the same kernels, so ``build_vs_materialized``
+    sits near 1, and a fall back to per-row scalar emission shows as a
+    ratio far below it.
     """
     from repro.experiments.configs import CacheDesign, build_hierarchy
     from repro.sim.simulator import Simulator
@@ -220,6 +223,9 @@ def measure_streaming_cell(trace_length: int, block_size: int) -> dict:
     for block in spec.stream(trace_length, block_size):
         rows += len(block)
     build_seconds = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    spec.build(trace_length)
+    materialized_seconds = time.perf_counter() - t0
     sim = Simulator(
         spec.stream(trace_length, block_size),
         build_hierarchy(CacheDesign.cd1()),
@@ -236,6 +242,9 @@ def measure_streaming_cell(trace_length: int, block_size: int) -> dict:
         "block_size": block_size,
         "build_seconds": build_seconds,
         "build_ips": rows / build_seconds,
+        "materialized_build_seconds": materialized_seconds,
+        "materialized_build_ips": rows / materialized_seconds,
+        "build_vs_materialized": materialized_seconds / build_seconds,
         "sim_seconds": sim_seconds,
         "sim_ips": rows / sim_seconds,
     }
@@ -387,6 +396,8 @@ def run_bench(
         )
         report["streaming_cell"] = streaming_cell
         report["streaming_sim_ips"] = streaming_cell["sim_ips"]
+        report["streaming_build_vs_materialized"] = \
+            streaming_cell["build_vs_materialized"]
 
     if "multicore" in phases:
         multicore_cells = []
@@ -492,7 +503,7 @@ def history_entry(report: dict) -> dict:
     for key in ("geomean_ips", "geomean_ips_per_mop",
                 "geomean_speedup_vs_reference",
                 "geomean_trace_build_speedup",
-                "streaming_sim_ips"):
+                "streaming_sim_ips", "streaming_build_vs_materialized"):
         if key in report:
             entry[key] = report[key]
     return entry
@@ -545,16 +556,25 @@ def format_trend(entries: List[dict]) -> str:
 
     Rows are normalized (calibration-relative) geomeans, so runs from
     machines of different speeds still chart one trajectory; a ``*``
-    after the commit marks a dirty working tree.
+    after the commit marks a dirty working tree.  ``stream/mat`` is the
+    streamed cold build's throughput over the materialized build of the
+    same spec (``--phase traces``): near 1 while streams run the
+    vectorized kernels, far below it if they fall back to scalar
+    emission.
     """
-    scored = [e for e in entries if e.get("geomean_ips_per_mop")]
+    scored = [e for e in entries
+              if e.get("geomean_ips_per_mop")
+              or e.get("streaming_build_vs_materialized")]
     if not scored:
         return "bench history: no runs with a normalized geomean yet"
+    norms = [e["geomean_ips_per_mop"] for e in scored
+             if e.get("geomean_ips_per_mop")]
     lines = [
         f"bench history: {len(scored)} runs (normalized geomean ips/Mop)",
-        "  " + _sparkline([e["geomean_ips_per_mop"] for e in scored]),
+        "  " + (_sparkline(norms) if norms else "-"),
         "",
-        f"{'commit':12s} {'when':>16s} {'norm':>10s} {'vs prev':>8s}",
+        f"{'commit':12s} {'when':>16s} {'norm':>10s} {'vs prev':>8s} "
+        f"{'stream/mat':>10s}",
     ]
     prev = None
     for entry in scored:
@@ -564,13 +584,17 @@ def format_trend(entries: List[dict]) -> str:
         ts = entry.get("timestamp")
         when = time.strftime("%Y-%m-%d %H:%M", time.localtime(ts)) \
             if ts else "-"
-        score = entry["geomean_ips_per_mop"]
-        delta = f"{score / prev:.2f}x" if prev else "-"
+        score = entry.get("geomean_ips_per_mop")
+        norm = f"{score:,.1f}" if score else "-"
+        delta = f"{score / prev:.2f}x" if score and prev else "-"
+        ratio = entry.get("streaming_build_vs_materialized")
+        stream = f"{ratio:.2f}x" if ratio else "-"
         quick = " (quick)" if entry.get("quick") else ""
         lines.append(
-            f"{commit:12s} {when:>16s} {score:>10,.1f} {delta:>8s}{quick}"
+            f"{commit:12s} {when:>16s} {norm:>10s} {delta:>8s} "
+            f"{stream:>10s}{quick}"
         )
-        prev = score
+        prev = score or prev
     return "\n".join(lines)
 
 
@@ -620,11 +644,15 @@ def format_report(report: dict) -> str:
             lines.append("")
         lines.append(
             f"{'streamed (block ' + str(cell['block_size']) + ')':32s} "
-            f"{'length':>8s} {'build ips':>12s} {'sim ips':>12s}"
+            f"{'length':>8s} {'build ips':>12s} {'mat. ips':>12s} "
+            f"{'ratio':>6s} {'sim ips':>12s}"
         )
         lines.append(
             f"{cell['workload']:32s} {cell['trace_length']:>8d} "
-            f"{cell['build_ips']:>12,.0f} {cell['sim_ips']:>12,.0f}"
+            f"{cell['build_ips']:>12,.0f} "
+            f"{cell['materialized_build_ips']:>12,.0f} "
+            f"{cell['build_vs_materialized']:>5.2f}x "
+            f"{cell['sim_ips']:>12,.0f}"
         )
     if "multicore_cells" in report:
         if lines:

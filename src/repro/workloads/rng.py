@@ -47,7 +47,22 @@ _RES53_SHIFT = np.uint64(67108864)
 
 
 class BulkRandom:
-    """Vectorized view over a ``random.Random``'s Mersenne-Twister stream."""
+    """Vectorized view over a ``random.Random``'s Mersenne-Twister stream.
+
+    One numpy ``MT19937`` runs ahead of the committed position and fills
+    a buffer of generated-but-uncommitted words, so a peek is a slice
+    and a commit an index bump: an emitter can peek and commit window
+    after window without ever re-seeding a generator.  The generator's
+    state is snapshotted about every ``_MARK_EVERY`` words it produces,
+    which is all :meth:`sync` needs to rebuild the state at the
+    committed position.
+    """
+
+    #: minimum words generated per refill
+    _CHUNK = 1 << 12
+    #: generated words between state snapshots; bounds the regeneration
+    #: in :meth:`sync` (one snapshot costs about as much as 10k words)
+    _MARK_EVERY = 1 << 16
 
     def __init__(self, rng: random.Random) -> None:
         self._rng = rng
@@ -57,83 +72,59 @@ class BulkRandom:
                              f"{version}")
         self._version = version
         self._gauss = gauss
-        self._mt = np.array(internal[:_N], dtype=np.uint32)
-        self._pos = int(internal[_N])
-        #: (words_generated, state) snapshots from the latest peek, valid
-        #: until the live state moves; they let ``advance_words`` restore
-        #: the nearest snapshot instead of regenerating the whole span.
-        self._peek_marks = None
+        self._bg = np.random.MT19937(0)  # state replaced just below
+        state = {"key": np.array(internal[:_N], dtype=np.uint32),
+                 "pos": int(internal[_N])}
+        self._bg.state = {"bit_generator": "MT19937", "state": state}
+        #: committed words since construction
+        self._pos = 0
+        #: generated words ``[_buf_start, _buf_start + len(_buf))``
+        self._buf = np.empty(0, dtype=np.uint64)
+        self._buf_start = 0
+        #: (word index, generator state there), ascending; the first
+        #: mark is never after ``_pos``
+        self._marks = [(0, state)]
 
     # -- word plumbing ------------------------------------------------------
 
-    def _bitgen(self) -> np.random.MT19937:
-        """A numpy MT19937 positioned at the current stream state."""
-        bg = np.random.MT19937()
-        bg.state = {
-            "bit_generator": "MT19937",
-            "state": {"key": self._mt, "pos": self._pos},
-        }
-        return bg
-
-    def _commit(self, bg: np.random.MT19937) -> None:
-        state = bg.state["state"]
-        self._mt = np.asarray(state["key"], dtype=np.uint32)
-        self._pos = int(state["pos"])
-        self._peek_marks = None
-
-    def _take(self, count: int) -> np.ndarray:
-        """The next ``count`` tempered 32-bit words; consumption committed.
-
-        Values are 32-bit but delivered in numpy's native ``uint64``
-        containers (no conversion pass).
-        """
-        bg = self._bitgen()
-        out = bg.random_raw(count)
-        self._commit(bg)
-        return out
-
-    _MARK_EVERY = 1 << 14
+    def _fill(self, end: int) -> None:
+        """Generate words until the buffer reaches word index ``end``,
+        dropping the committed prefix and marks no longer needed."""
+        have = self._buf_start + len(self._buf)
+        if have >= end:
+            return
+        if have - self._marks[-1][0] >= self._MARK_EVERY:
+            self._marks.append((have, self._bg.state["state"]))
+        fresh = self._bg.random_raw(max(end - have, self._CHUNK))
+        self._buf = np.concatenate(
+            (self._buf[self._pos - self._buf_start:], fresh))
+        self._buf_start = self._pos
+        while len(self._marks) > 1 and self._marks[1][0] <= self._pos:
+            self._marks.pop(0)
 
     def peek_words(self, count: int) -> np.ndarray:
         """The next ``count`` tempered words *without* committing them.
 
-        32-bit values in ``uint64`` containers, like :meth:`_take`.
-        Leaves periodic state snapshots behind so a following
-        :meth:`advance_words` regenerates at most ``_MARK_EVERY`` words.
+        32-bit values in numpy's native ``uint64`` containers (no
+        conversion pass); a view that later calls never overwrite.
         """
         if count <= 0:
             return np.empty(0, dtype=np.uint64)
-        bg = self._bitgen()
-        if count <= self._MARK_EVERY:
-            return bg.random_raw(count)
-        parts = []
-        marks = []
-        done = 0
-        while done < count:
-            take = min(self._MARK_EVERY, count - done)
-            parts.append(bg.random_raw(take))
-            done += take
-            state = bg.state["state"]
-            marks.append((done, np.asarray(state["key"], dtype=np.uint32),
-                          int(state["pos"])))
-        self._peek_marks = marks
-        return np.concatenate(parts)
+        self._fill(self._pos + count)
+        start = self._pos - self._buf_start
+        return self._buf[start:start + count]
 
     def advance_words(self, count: int) -> None:
-        """Commit ``count`` words previously observed via peeking."""
-        if count <= 0:
-            return
-        if self._peek_marks is not None:
-            for done, key, pos in reversed(self._peek_marks):
-                if done <= count:
-                    self._mt = key
-                    self._pos = pos
-                    count -= done
-                    break
-        bg = self._bitgen()
-        if count:
-            bg.random_raw(count)
-        self._commit(bg)
+        """Commit ``count`` words (normally ones observed via peeking)."""
+        if count > 0:
+            self._fill(self._pos + count)
+            self._pos += count
+
+    def _take(self, count: int) -> np.ndarray:
+        """The next ``count`` tempered words; consumption committed."""
+        words = self.peek_words(count)
+        self.advance_words(count)
+        return words
 
     # -- draw primitives ----------------------------------------------------
 
@@ -163,7 +154,6 @@ class BulkRandom:
             # generator draws bounds that large, so keep the fast path.
             raise NotImplementedError("randrange bounds beyond 32 bits")
         shift = np.uint64(32 - int(n).bit_length())
-        scratch = self._bitgen()
         accepted: list = []
         have = 0
         consumed = 0
@@ -172,7 +162,7 @@ class BulkRandom:
             # acceptance probability is n / 2**bits > 0.5, so a modest
             # overshoot nearly always finishes in one round.
             chunk = max(64, deficit + (deficit >> 2) + 8)
-            cand = scratch.random_raw(chunk) >> shift
+            cand = self.peek_words(consumed + chunk)[consumed:] >> shift
             ok = np.flatnonzero(cand < n)
             if have + ok.size >= k:
                 last = ok[k - have - 1]
@@ -189,7 +179,6 @@ class BulkRandom:
     def randrange_var(self, bounds) -> np.ndarray:
         """``rng.randrange(n)`` for each ``n`` in ``bounds`` (varying)."""
         out = np.empty(len(bounds), dtype=np.int64)
-        scratch = self._bitgen()
         buf: list = []
         bi = 0
         consumed = 0
@@ -200,7 +189,7 @@ class BulkRandom:
             shift = 32 - n.bit_length()
             while True:
                 if bi == len(buf):
-                    buf = scratch.random_raw(4096).tolist()
+                    buf = self.peek_words(consumed + 4096)[consumed:].tolist()
                     bi = 0
                 word = buf[bi]
                 bi += 1
@@ -215,6 +204,21 @@ class BulkRandom:
     # -- state round trip ---------------------------------------------------
 
     def sync(self) -> None:
-        """Write the advanced state back into the wrapped ``Random``."""
-        state = tuple(int(x) for x in self._mt) + (int(self._pos),)
-        self._rng.setstate((self._version, state, self._gauss))
+        """Write the advanced state back into the wrapped ``Random``.
+
+        Rebuilds the generator state at the committed position from the
+        nearest snapshot (about ``_MARK_EVERY`` words of regeneration); the
+        buffered look-ahead is dropped, and later draws continue from
+        the same position.
+        """
+        mark, state = next(m for m in reversed(self._marks)
+                           if m[0] <= self._pos)
+        self._bg.state = {"bit_generator": "MT19937", "state": state}
+        if self._pos > mark:
+            self._bg.random_raw(self._pos - mark, output=False)
+        state = self._bg.state["state"]
+        self._marks = [(self._pos, state)]
+        self._buf = np.empty(0, dtype=np.uint64)
+        self._buf_start = self._pos
+        internal = tuple(int(x) for x in state["key"]) + (int(state["pos"]),)
+        self._rng.setstate((self._version, internal, self._gauss))

@@ -8,16 +8,18 @@ pool traffic.  This module is the streaming substrate: a trace becomes a
 simulators (whose run loops already consume the trace through a pre-chunk
 seam) hold only O(block_size) instructions at a time.
 
-The generators' scalar reference emitters are reused unchanged: a
-producer thread runs them with their *full* instruction budgets against a
-:class:`BlockAssembler` (a ``TraceBuilder``-compatible facade), and
-:func:`pump_blocks` hands finished blocks across a bounded queue.
-Running the emitters with full budgets is what keeps the streamed output
-*byte-identical* to the materialized trace — the emitters' budget-clamped
-filler near the end of a phase consumes RNG draws as a function of the
-total budget, so carving the budget into per-block pieces would change
-the stream.  The bounded queue (not the block size) is what bounds
-memory: at most ``_QUEUE_DEPTH + 2`` blocks exist at once.
+Synthetic traces stream through the same window path the materialized
+build uses: the generators' vectorized kernels emit each phase, with its
+*full* instruction budget, in bounded windows of whole pattern
+iterations into a :class:`BlockAssembler` (a ``TraceBuilder``-compatible
+facade), and :func:`assemble_blocks` hands on the blocks each window
+fills before the next window is emitted.  Running the phases with full
+budgets is what keeps the streamed output *byte-identical* to the
+materialized trace — the budget-clamped filler near the end of a phase
+consumes RNG draws as a function of the total budget, so carving the
+budget into per-block pieces would change the stream.  Emission is a
+plain generator on the consumer's thread, so one window plus the blocks
+it filled bound memory: O(window + block_size) rows at once.
 
 Equivalence with the materialized path at every block size is pinned by
 ``tests/test_streaming_equivalence.py`` against the 288 golden trace
@@ -26,22 +28,13 @@ digests and the golden simulation outputs.
 
 from __future__ import annotations
 
-import queue
-import threading
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, List, Optional
+from typing import Callable, Deque, Iterable, Iterator, List, Optional
 
 import numpy as np
 
 from .trace import Trace
-
-#: finished blocks buffered between the producer thread and the consumer;
-#: together with the assembler's working set this bounds resident memory
-#: at a few blocks regardless of trace length.
-_QUEUE_DEPTH = 4
-
-#: producer-side put timeout (seconds) between abandonment checks.
-_PUT_TIMEOUT = 0.1
 
 
 @dataclass
@@ -173,8 +166,9 @@ class TraceStream:
 class BlockAssembler:
     """``TraceBuilder``-compatible facade that emits fixed-size blocks.
 
-    The generators' scalar emitters write into it exactly as they write
-    into a :class:`~repro.workloads.trace.TraceBuilder`; whenever a full
+    The generators write into it exactly as they write into a
+    :class:`~repro.workloads.trace.TraceBuilder` — whole windows through
+    :meth:`extend`, scalar tails row by row; whenever a full
     ``block_size`` worth of instructions has accumulated, the assembler
     hands one :class:`TraceBlock` to ``emit`` and drops its rows.
 
@@ -327,77 +321,35 @@ class BlockAssembler:
         return self._count
 
 
-class _Abandoned(Exception):
-    """Raised inside the producer thread when the consumer went away."""
-
-
-def pump_blocks(
-    producer: Callable[[BlockAssembler], None],
+def assemble_blocks(
+    producer: Callable[[BlockAssembler], Iterable],
     block_size: int,
-    limit: int,
+    limit: Optional[int] = None,
     on_complete: Optional[Callable[[int], None]] = None,
 ) -> Iterator[TraceBlock]:
-    """Run ``producer`` in a thread; yield its blocks as they finish.
+    """Yield the blocks ``producer`` writes, as each of its steps fills
+    them.
 
-    ``producer(assembler)`` writes the whole trace through a
-    :class:`BlockAssembler` capped at ``limit`` rows.  Blocks cross a
-    bounded queue, so the producer stalls once ``_QUEUE_DEPTH`` blocks
-    are waiting — resident memory stays O(block_size) however long the
-    trace is.  ``on_complete(total_rows)`` fires after the last block
-    (the total includes dropped overshoot rows, letting callers mirror
-    the materialized path's truncation rename).
-
-    Abandoning the generator (break / close) flags the producer thread,
-    which aborts at its next queue put.
+    ``producer(assembler)`` returns an iterator that writes rows into a
+    :class:`BlockAssembler` capped at ``limit`` rows and yields between
+    bounded steps (the generators yield after every emission window);
+    blocks the step finished are handed on before the next step runs, so
+    resident rows stay O(step + block_size) however long the trace is.
+    ``on_complete(total_rows)`` fires after the last block (the total
+    includes dropped overshoot rows, letting callers mirror the
+    materialized path's truncation rename).  Abandoning the iterator
+    simply stops emission: there is no thread to wind down.
     """
-    out: "queue.Queue" = queue.Queue(maxsize=_QUEUE_DEPTH)
-    abandoned = threading.Event()
-
-    def put(item) -> None:
-        while True:
-            try:
-                out.put(item, timeout=_PUT_TIMEOUT)
-                return
-            except queue.Full:
-                if abandoned.is_set():
-                    raise _Abandoned from None
-
-    def run() -> None:
-        try:
-            assembler = BlockAssembler(
-                block_size, lambda block: put(("block", block)), limit=limit
-            )
-            producer(assembler)
-            put(("done", assembler.finish()))
-        except _Abandoned:
-            pass
-        except BaseException as exc:  # surfaced on the consumer side
-            try:
-                put(("error", exc))
-            except _Abandoned:
-                pass
-
-    thread = threading.Thread(target=run, name="trace-pump", daemon=True)
-    thread.start()
-    try:
-        while True:
-            kind, payload = out.get()
-            if kind == "block":
-                yield payload
-            elif kind == "done":
-                if on_complete is not None:
-                    on_complete(payload)
-                return
-            else:
-                raise payload
-    finally:
-        abandoned.set()
-        while True:  # unblock a producer stuck on a full queue
-            try:
-                out.get_nowait()
-            except queue.Empty:
-                break
-        thread.join(timeout=5.0)
+    ready: Deque[TraceBlock] = deque()
+    assembler = BlockAssembler(block_size, ready.append, limit=limit)
+    for _ in producer(assembler):
+        while ready:
+            yield ready.popleft()
+    total = assembler.finish()
+    while ready:
+        yield ready.popleft()
+    if on_complete is not None:
+        on_complete(total)
 
 
 def blocks_from_trace(
@@ -430,16 +382,10 @@ def reblock(
     fixed-size blocks — the adapter-facing half of the block API
     (external trace files arrive in whatever chunks the parser found
     convenient)."""
-    collected: list = []
 
-    def emit(block: TraceBlock) -> None:
-        collected.append(block)
+    def producer(assembler: BlockAssembler) -> Iterator[None]:
+        for pcs, addrs, flags in rows:
+            assembler.extend(pcs, addrs, flags)
+            yield
 
-    assembler = BlockAssembler(block_size, emit, limit=limit)
-    for pcs, addrs, flags in rows:
-        assembler.extend(pcs, addrs, flags)
-        while collected:
-            yield collected.pop(0)
-    assembler.finish()
-    while collected:
-        yield collected.pop(0)
+    return assemble_blocks(producer, block_size, limit)

@@ -49,6 +49,11 @@ TRACE_SCHEMA = 1
 
 _DEFAULT_BUDGET_MB = 256.0
 
+#: deflate level of per-chunk files: a cold stream writes every chunk
+#: on its critical path, where level 1 is ~3-4x faster than the default
+#: for a slightly larger file (whole-trace files keep the default).
+_CHUNK_DEFLATE_LEVEL = 1
+
 
 @dataclass
 class TraceCacheStats:
@@ -281,9 +286,9 @@ class TraceCache:
         from disk one chunk at a time; otherwise the trace is emitted
         cold — a genuine ``trace_build`` — with every finished block
         teed into the chunk set so the next run streams warm.  Only the
-        cold tier ever holds more than one block in memory (the pump's
-        bounded queue), and none of the tiers materialize the whole
-        trace.
+        cold tier ever holds more than one block in memory (one emission
+        window and the blocks it filled), and none of the tiers
+        materialize the whole trace.
         """
         key = fingerprint(spec, length)
         with self._lock:
@@ -335,13 +340,15 @@ class TraceCache:
                                       "start": block.start},
                         )
                         try:
-                            save_trace(piece, cdir / f"chunk-{chunks:06d}")
+                            save_trace(piece, cdir / f"chunk-{chunks:06d}",
+                                       compresslevel=_CHUNK_DEFLATE_LEVEL)
                         except OSError:
                             writable = False
                     chunks += 1
                     yield block
-            # Traversal finished: the producer's overshoot rename (if
-            # any) has landed on ``raw.name``.
+            # Traversal finished: the emitter's overshoot rename (if
+            # any) has landed on ``raw.name``.  An abandoned traversal
+            # never gets here, so it leaves no completeness marker.
             stream.name = raw.name
             if writable:
                 meta = {

@@ -17,7 +17,7 @@ import json
 import os
 import pathlib
 import zipfile
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -34,13 +34,29 @@ class TraceFormatError(ValueError):
     """Raised when a file is not a valid serialized trace."""
 
 
-def save_trace(trace: Trace, path: PathLike) -> pathlib.Path:
+def _savez(path: pathlib.Path, arrays: dict,
+           level: Optional[int]) -> None:
+    """The archive ``np.savez_compressed`` writes, at deflate ``level``
+    (``None``: zlib's default, which is what ``savez_compressed`` uses)."""
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED,
+                         compresslevel=level) as archive:
+        for key, value in arrays.items():
+            with archive.open(key + ".npy", "w", force_zip64=True) as fh:
+                np.lib.format.write_array(fh, np.asanyarray(value),
+                                          allow_pickle=False)
+
+
+def save_trace(
+    trace: Trace, path: PathLike, compresslevel: Optional[int] = None
+) -> pathlib.Path:
     """Write ``trace`` to ``path`` (``.npz`` appended if missing).
 
     The extension is appended to the *name*, never via
     ``Path.with_suffix``: workload names are dotted
     (``spec06.mcf_like.0``), and suffix surgery on multi-dot names
     rewrites the wrong component (e.g. a trailing-dot name collapses).
+    ``compresslevel`` picks a deflate level (the per-chunk cache tier
+    trades ratio for speed with 1); the default is zlib's.
     """
     path = pathlib.Path(path)
     if path.suffix != ".npz":
@@ -56,23 +72,20 @@ def save_trace(trace: Trace, path: PathLike) -> pathlib.Path:
     # Write-then-rename: concurrent readers (engine workers sharing a
     # REPRO_TRACE_DIR) must never observe a torn archive.
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
+    arrays = {
+        "pcs": trace.pcs,
+        "addrs": trace.addrs,
+        "flags": trace.flags,
+        _HEADER_KEY: np.frombuffer(
+            json.dumps(header).encode("utf-8"), dtype=np.uint8
+        ),
+    }
     try:
-        np.savez_compressed(
-            tmp,
-            pcs=trace.pcs,
-            addrs=trace.addrs,
-            flags=trace.flags,
-            **{_HEADER_KEY: np.frombuffer(
-                json.dumps(header).encode("utf-8"), dtype=np.uint8
-            )},
-        )
-        # savez appends .npz to names without it
-        written = tmp if tmp.exists() else tmp.with_name(tmp.name + ".npz")
-        os.replace(written, path)
+        _savez(tmp, arrays, compresslevel)
+        os.replace(tmp, path)
     except BaseException:
-        for leftover in (tmp, tmp.with_name(tmp.name + ".npz")):
-            if leftover.exists():
-                leftover.unlink()
+        if tmp.exists():
+            tmp.unlink()
         raise
     return path
 

@@ -198,6 +198,42 @@ def randrange_tables(win: WordWindow, n: int) -> RandrangeTables:
     return RandrangeTables(win, n)
 
 
+def walk_rounds(win: WordWindow, tables, rounds: int, margin: int):
+    """Walk ``rounds`` consecutive pattern rounds through a peeked window.
+
+    ``tables(win)`` builds the decode tables for the window's current
+    size; its last entry is the round jump table (word offset at a
+    round's start -> offset at the next round's start).  Returns the
+    ``rounds + 1`` round-start offsets — the last one is the offset after
+    the final round, i.e. the number of words the rounds consume — and
+    the tables they were decoded with.
+
+    Table entries are clamped to the ``size - 2`` sentinel, so a round
+    starting within ``margin`` words of the window end may decode
+    wrongly: the window then regrows and the walk resumes from the last
+    round that started safely inside it.
+    """
+    t = tables(win)
+    step = t[-1].item
+    limit = win.size - margin
+    offs = np.empty(rounds + 1, dtype=np.int64)
+    o = 0
+    k = 0
+    while True:
+        if o >= limit:
+            win.grow()
+            t = tables(win)
+            step = t[-1].item
+            limit = win.size - margin
+            o = step(offs[k - 1]) if k else 0
+            continue
+        offs[k] = o
+        if k == rounds:
+            return offs, t
+        o = step(o)
+        k += 1
+
+
 def filler_run_offsets(
     fjmp1: np.ndarray, starts: np.ndarray, count: int
 ) -> np.ndarray:

@@ -8,7 +8,8 @@ This suite pins that invariant from four directions:
 - every golden trace digest (``tests/golden/trace_hashes.json``)
   reproduces when the trace is emitted block-at-a-time, at block sizes
   {1, 64, 1024, full} and at adversarial sizes (1, 7, prime, len-1,
-  len, len+1, > len) across all twelve workload families;
+  len, len+1, > len) across all twelve workload families, and at
+  pathological emission-window sizes (1, 7, prime rows);
 - every golden simulation payload (``tests/golden/*.json``) reproduces
   when the engine executes streamed (``REPRO_STREAM_BLOCK``), single-
   and multi-core, at block sizes {1, 64, 1024, full};
@@ -70,8 +71,8 @@ def _golden_digest(spec, length):
 @pytest.fixture()
 def fresh_cache():
     """A memory-only process cache, so tier state never leaks between
-    tests (streamed golden runs must exercise the cold pump, not a
-    whole-trace entry left by an earlier test)."""
+    tests (streamed golden runs must exercise the cold windowed build,
+    not a whole-trace entry left by an earlier test)."""
     cache = reset_trace_cache(TraceCache(max_bytes=1 << 30, disk_dir=None))
     yield cache
     reset_trace_cache()
@@ -162,6 +163,56 @@ class TestAdversarialBlockSizes:
         assert len(streamed) == len(built) == length
         assert trace_goldens.trace_digest(streamed) == \
             trace_goldens.trace_digest(built)
+
+
+# ---------------------------------------------------------------------------
+# emission-window seams
+# ---------------------------------------------------------------------------
+
+class TestWindowSeams:
+    """The vectorized kernels emit each phase in windows of at most
+    ``generators._WINDOW`` rows; a window boundary must be invisible in
+    the output wherever it falls.  Pathological window sizes put a seam
+    after every iteration (1), at a small coprime stride (7) and at a
+    prime (997), against every family's golden digest."""
+
+    @pytest.mark.parametrize("window", (1, 7, 997))
+    @pytest.mark.parametrize(
+        "spec", list(_REPS.values()),
+        ids=[f"{p}:{s.name}" for p, s in _REPS.items()])
+    def test_family_reproduces_golden_at_window(
+            self, spec, window, monkeypatch):
+        from repro.workloads import generators
+
+        monkeypatch.setattr(generators, "_WINDOW", window)
+        want = _golden_digest(spec, _ADV_LENGTH)
+        built = spec.build(_ADV_LENGTH)
+        assert trace_goldens.trace_digest(built) == want, "materialized"
+        for block in (64, _ADV_LENGTH):
+            streamed = spec.stream(_ADV_LENGTH, block).materialize()
+            assert trace_goldens.trace_digest(streamed) == want, \
+                f"streamed at block={block}"
+
+    @pytest.mark.parametrize(
+        "spec", list(_REPS.values()),
+        ids=[f"{p}:{s.name}" for p, s in _REPS.items()])
+    def test_streamed_build_is_vectorized(self, spec, monkeypatch):
+        """A long streamed build sends its rows through whole-window
+        ``extend`` calls; only phase tails and the length pad go row by
+        row.  A silent fall back to per-row scalar emission fails
+        here."""
+        length = 100_000
+        extended = []
+        original = BlockAssembler.extend
+
+        def counting_extend(self, pcs, addrs, flags):
+            extended.append(len(pcs))
+            return original(self, pcs, addrs, flags)
+
+        monkeypatch.setattr(BlockAssembler, "extend", counting_extend)
+        rows = sum(len(block) for block in spec.stream(length, 4096))
+        assert rows == length
+        assert sum(extended) >= 0.99 * length
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +381,35 @@ class TestChunkTier:
         assert tail[0].start == position
         got = np.concatenate([b.addrs for b in tail])
         np.testing.assert_array_equal(got, reference.addrs[position:])
+
+    def test_abandoned_cold_stream_leaves_no_marker(
+            self, disk_cache, tmp_path):
+        """A consumer that stops after two blocks abandons the build: no
+        completeness marker is written, and the next traversal rebuilds
+        the whole set."""
+        stream = self._stream(disk_cache)
+        blocks = iter(stream)
+        next(blocks)
+        next(blocks)
+        blocks.close()
+        cdir = self._chunk_dir(disk_cache)
+        assert not (cdir / "meta.json").exists()
+
+        fresh = reset_trace_cache(
+            TraceCache(max_bytes=1 << 30, disk_dir=tmp_path))
+        rebuilt = self._stream(fresh).materialize()
+        assert fresh.stats.builds == 1
+        assert fresh.stats.chunk_hits == 0
+        meta = json.loads((cdir / "meta.json").read_text())
+        assert meta["chunks"] == -(-self.LENGTH // self.BLOCK)
+        want = trace_goldens.trace_digest(
+            find_workload(self.SPEC_NAME).build(self.LENGTH))
+        assert trace_goldens.trace_digest(rebuilt) == want
+        warm = reset_trace_cache(
+            TraceCache(max_bytes=1 << 30, disk_dir=tmp_path))
+        assert trace_goldens.trace_digest(
+            self._stream(warm).materialize()) == want
+        assert warm.stats.chunk_hits == 1
 
     def test_clear_disk_removes_chunk_sets(self, disk_cache):
         self._stream(disk_cache).materialize()

@@ -1,8 +1,8 @@
 """Peak-memory ceiling for streamed traces.
 
 A streamed run must never materialize the whole trace: its traced peak
-is bounded by O(block_size) — a handful of in-flight blocks (the pump's
-bounded queue) plus constant simulator state — regardless of trace
+is bounded by O(window + block_size) — one emission window plus the
+blocks it filled, and constant simulator state — regardless of trace
 length.  The default tests run scaled down for CI; set
 ``REPRO_MEMTEST_FULL=1`` to run the full 10x-current-max trace length
 (1M instructions, ten times :data:`repro.bench.TRACE_LENGTH`).
@@ -60,7 +60,7 @@ def _simulate_peak(length: int, block_size: int) -> int:
 class TestStreamedMemoryCeiling:
     def test_consumption_peak_is_flat_in_trace_length(self):
         """Tripling the trace length must not grow the traced peak:
-        only ~(pump depth) blocks are ever alive at once."""
+        only one window and the blocks it filled are ever alive at once."""
         block = 1_024
         base = _consume_peak(60_000, block)
         tripled = _consume_peak(180_000, block)

@@ -126,3 +126,24 @@ def test_bulk_sync_resumes_scalar_stream_exactly():
     bulk.sync()
     got += [mixed.random() for _ in range(10)]
     assert got == want
+
+
+def test_bulk_peek_commit_windows_then_sync_across_snapshots():
+    """Window-by-window peek/commit, as the vectorized emitters do,
+    reading past several generator state snapshots: every peeked word is
+    the scalar stream's next ``getrandbits(32)``, and ``sync`` hands the
+    wrapped Random back exactly at the committed position."""
+    reference = random.Random(2718)
+    mixed = random.Random(2718)
+    bulk = BulkRandom(mixed)
+    committed = 0
+    for window in (5, 4096, 70_000, 3, 90_000, 12_345):
+        peeked = bulk.peek_words(window + 17)  # look ahead, commit less
+        want = [reference.getrandbits(32) for _ in range(window)]
+        assert peeked[:window].tolist() == want
+        bulk.advance_words(window)
+        committed += window
+    assert committed > 2 * BulkRandom._MARK_EVERY
+    bulk.sync()
+    assert [mixed.random() for _ in range(50)] == \
+        [reference.random() for _ in range(50)]

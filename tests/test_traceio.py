@@ -30,6 +30,18 @@ class TestRoundTrip:
         assert np.array_equal(loaded.flags, trace.flags)
         assert loaded.metadata == trace.metadata
 
+    @pytest.mark.parametrize("level", (1, 9))
+    def test_explicit_deflate_level_round_trips(self, tmp_path, level):
+        trace = make()
+        path = save_trace(trace, tmp_path / "t", compresslevel=level)
+        assert path.name == "t.npz"
+        assert not list(tmp_path.glob("*.tmp*"))
+        loaded = load_trace(path)
+        assert loaded.name == trace.name
+        assert np.array_equal(loaded.pcs, trace.pcs)
+        assert np.array_equal(loaded.addrs, trace.addrs)
+        assert np.array_equal(loaded.flags, trace.flags)
+
     def test_suffix_appended(self, tmp_path):
         path = save_trace(make(), tmp_path / "t")
         assert path.suffix == ".npz"
