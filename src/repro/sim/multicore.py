@@ -5,7 +5,9 @@ workload trace (replayed as needed), has private L1D/L2C with its own
 prefetchers and OCP, and contends for the shared LLC and the shared DRAM
 channel.  Each core also runs its *own* coordination-policy instance
 (Athena is per-core hardware), using the single-core-tuned configuration
-unaltered — exactly the paper's §7.4 setup.
+unaltered — exactly the paper's §7.4 setup.  The epoch step is the
+single-core simulator's (:func:`~repro.sim.simulator.epoch_telemetry`,
+:func:`~repro.sim.simulator.apply_action`).
 
 Cores are interleaved in time order.  The reference semantics are the
 seed implementation's per-instruction heap: at every step the core with
@@ -26,6 +28,15 @@ instruction, core_id)`` key the per-instruction loop would have used, so
 shared-state mutations happen in the identical order and the results are
 bit-identical (pinned by the multicore golden cases in
 ``tests/golden/``).
+
+Each core reads its trace through a window of resident blocks
+(:class:`~repro.workloads.streaming.TraceBlock`; a materialized trace is
+one block, and a replay restarts the block iterator), so a streamed core
+holds O(block) instructions, not O(trace).  Every resident block
+precomputes the run loop's fast-path aggregates for the private gap after
+each memory access; a block's last gap is clipped at the block edge and
+taken by the generic path, which carries runs across block and replay
+edges.
 """
 
 from __future__ import annotations
@@ -42,7 +53,7 @@ import numpy as np
 
 if TYPE_CHECKING:  # avoid a sim <-> policies import cycle
     from ..policies.base import CoordinationPolicy
-from ..workloads.streaming import TraceStream
+from ..workloads.streaming import TraceBlock, TraceStream
 from ..workloads.trace import (
     FLAG_BRANCH,
     FLAG_DEP,
@@ -56,10 +67,14 @@ from .cpu import CoreModel
 from .dram import MainMemory
 from .hierarchy import CacheHierarchy
 from .params import SystemParams
-from .simulator import Simulator
+from .simulator import (
+    apply_action,
+    epoch_start,
+    epoch_telemetry,
+    reset_measured_stats,
+    trace_blocks,
+)
 from .stats import SimStats
-
-
 @dataclass
 class CoreResult:
     """Per-core outcome of a multi-core run."""
@@ -94,116 +109,157 @@ class MultiCoreResult:
 _NEVER = 1 << 62
 
 
-class _CoreContext:
-    """Execution state of one core inside the multi-core event loop."""
+class _Block:
+    """One resident trace block in the plain-scalar layout the event loop
+    reads, with the fast-path aggregates of its memory gaps."""
 
-    #: whether the run loop may take its inlined memory-gap fast path;
-    #: streamed contexts precompute no per-gap aggregates and always go
-    #: through the generic event path.
-    _fast = True
+    __slots__ = ("start", "stop", "pcs", "addrs", "flags", "mispred",
+                 "branch_prefix", "mem", "gap_len", "gap_branches",
+                 "gap_clean")
+
+    def __init__(self, start: int, block: TraceBlock) -> None:
+        flags = block.flags
+        n = len(flags)
+        self.start = start
+        self.stop = start + n
+        # Plain-scalar columns, converted once (no per-instruction
+        # int(np.int64) conversions on the event path).
+        self.pcs = block.pcs.tolist()
+        self.addrs = block.addrs.tolist()
+        self.flags = flags.tolist()
+        is_mem = (flags & (FLAG_LOAD | FLAG_STORE)) != 0
+        is_mispred = ((flags & FLAG_MISPRED) != 0) & ~is_mem
+        mem = np.flatnonzero(is_mem)
+        #: block-local positions that touch the shared LLC/DRAM (events)
+        self.mem = mem.tolist()
+        #: block-local private positions needing an individual step
+        self.mispred = np.flatnonzero(is_mispred).tolist()
+        zero = np.zeros(1, dtype=np.int64)
+        branch_prefix = np.concatenate(
+            (zero, np.cumsum((flags & FLAG_BRANCH) != 0, dtype=np.int64))
+        )
+        #: branch_prefix[i] = branches among the first i block positions
+        self.branch_prefix = branch_prefix.tolist()
+        # Per-gap aggregates, indexed like ``mem``: for the run of private
+        # instructions after each memory position, its length, branch
+        # count, and whether it is free of mispredicted branches.  The
+        # last gap is clipped at the block edge and never clean, so the
+        # generic path carries it into the next block or replay.
+        nxt = np.append(mem[1:], n)
+        mis_prefix = np.concatenate(
+            (zero, np.cumsum(is_mispred, dtype=np.int64))
+        )
+        self.gap_len = (nxt - mem - 1).tolist()
+        self.gap_branches = (branch_prefix[nxt]
+                             - branch_prefix[mem + 1]).tolist()
+        clean = mis_prefix[nxt] == mis_prefix[mem + 1]
+        clean[-1:] = False
+        self.gap_clean = clean.tolist()
+
+
+class _CoreContext:
+    """Execution state of one core inside the multi-core event loop.
+
+    The trace is read through a window of :class:`_Block`\\ s, pulled as
+    the schedule needs them and evicted once retired past.  Every
+    instruction position the loop asks for is resident: :meth:`next_event`
+    loads up to the next memory event, or past the next transition.
+    """
 
     def __init__(
         self,
         core_id: int,
-        trace: Trace,
+        trace: Union[Trace, TraceStream],
         hierarchy: CacheHierarchy,
         policy: Optional["CoordinationPolicy"],
         epoch_length: int,
+        warmup_instructions: int,
     ) -> None:
         self.core_id = core_id
         self.trace = trace
         self.hierarchy = hierarchy
         self.policy = policy
         self.epoch_length = epoch_length
+        self.warmup_instructions = warmup_instructions
         self.core = CoreModel(hierarchy.params.core)
         self.retired = 0
-        self.warmup_instructions = 0
         self.measure_start_cycles = 0.0
-        self._warmed = False
-        # Plain-scalar trace columns, converted once (no per-instruction
-        # int(np.int64) conversions on the event path).
-        self._pcs = trace.pcs.tolist()
-        self._addrs = trace.addrs.tolist()
-        self._flags = trace.flags.tolist()
-        self._period = len(self._flags)
-        flags_np = trace.flags
-        mem_np = np.flatnonzero((flags_np & (FLAG_LOAD | FLAG_STORE)) != 0)
-        #: trace positions that touch the shared LLC/DRAM (global events)
-        self._mem_pos = mem_np.tolist()
-        #: non-memory positions needing an individual step (private)
-        self._mispred_pos = np.flatnonzero(
-            ((flags_np & FLAG_MISPRED) != 0)
-            & ((flags_np & (FLAG_LOAD | FLAG_STORE)) == 0)
-        ).tolist()
-        branch_prefix = np.concatenate((
-            np.zeros(1, dtype=np.int64),
-            np.cumsum((flags_np & FLAG_BRANCH) != 0, dtype=np.int64),
-        ))
-        #: branch_prefix[i] = branches among the first i trace positions
-        self._branch_prefix = branch_prefix.tolist()
-        # Per-gap aggregates: for the run of private instructions between
-        # consecutive memory positions (wrapping the replay boundary),
-        # its length, branch count, and whether it needs the generic
-        # mispredicted-branch path.  Indexed by the *leading* memory
-        # position's index in ``_mem_pos``.
-        period = self._period
-        if len(mem_np):
-            nxt = np.roll(mem_np, -1)
-            nxt[-1] += period
-            self._gap_len = (nxt - mem_np - 1).tolist()
-            cut = np.minimum(nxt, period)
-            gap_branches = branch_prefix[cut] - branch_prefix[mem_np + 1]
-            mis_prefix = np.concatenate((
-                np.zeros(1, dtype=np.int64),
-                np.cumsum(
-                    ((flags_np & FLAG_MISPRED) != 0)
-                    & ((flags_np & (FLAG_LOAD | FLAG_STORE)) == 0),
-                    dtype=np.int64,
-                ),
-            ))
-            gap_mispreds = mis_prefix[cut] - mis_prefix[mem_np + 1]
-            if nxt[-1] > period:  # last gap wraps into the next replay
-                wrap = int(nxt[-1] - period)
-                gap_branches[-1] += int(branch_prefix[wrap])
-                gap_mispreds[-1] += int(mis_prefix[wrap])
-            self._gap_branches = gap_branches.tolist()
-            self._gap_clean = (gap_mispreds == 0).tolist()
-        else:
-            self._gap_len = []
-            self._gap_branches = []
-            self._gap_clean = []
-        #: schedule state: global index of the next memory event, the
-        #: index into ``_mem_pos`` it corresponds to, and its replay base
-        self._mem_next = int(mem_np[0]) if len(mem_np) else _NEVER
+        #: resident blocks covering [window[0].start, _loaded_to)
+        self._window: deque = deque()
+        self._blocks = trace_blocks(trace)
+        self._replay_base = 0
+        self._loaded_to = 0
+        #: memory schedule: the block holding the pending memory event,
+        #: its index in the block's ``mem``, and its global index
+        #: (``_NEVER`` until a loaded block holds one; ``_blk`` is then
+        #: the last block loaded)
+        self._blk: Optional[_Block] = None
         self._mem_ptr = 0
-        self._mem_base = 0
+        self._mem_next = _NEVER
         #: global indices of the next epoch-/warmup-transition instruction
         self._next_epoch = epoch_length - 1 if policy is not None else _NEVER
-        self._warm_idx = _NEVER  # set by MultiCoreSimulator
-        self._epoch_snapshot = hierarchy.stats.snapshot()
-        self._epoch_cycles = 0.0
-        self._epoch_busy = hierarchy.dram.busy_cycles
-        self._epoch_kinds = hierarchy.dram.kind_counts()
+        self._warm_idx = (warmup_instructions - 1 if warmup_instructions
+                          else _NEVER)
+        self._epoch_start = epoch_start(hierarchy, self.core)
         self._epoch_index = 0
         if policy is not None:
             policy.attach(hierarchy)
+
+    # -- block window -------------------------------------------------------
+
+    def _load_next_block(self) -> None:
+        """Pull one more block into the window (restarting the trace at
+        the replay boundary) and evict fully-retired blocks.  Blocks load
+        only while no memory event is pending, so the new block's first
+        one, if any, becomes the pending event."""
+        try:
+            block = next(self._blocks)
+        except StopIteration:
+            self._replay_base = self._loaded_to
+            self._blocks = trace_blocks(self.trace)
+            block = next(self._blocks)
+        blk = _Block(self._replay_base + block.start, block)
+        window = self._window
+        window.append(blk)
+        self._loaded_to = blk.stop
+        while window[0].stop <= self.retired:
+            window.popleft()
+        if blk.mem:
+            self._blk = blk
+            self._mem_ptr = 0
+            self._mem_next = blk.start + blk.mem[0]
+
+    def _block_at(self, index: int) -> _Block:
+        """The resident block containing global position ``index``."""
+        window = self._window
+        while window[0].stop <= index:
+            window.popleft()
+        return window[0]
 
     # -- event schedule -----------------------------------------------------
 
     def _advance_mem_ptr(self) -> None:
         """Consume the pending memory event from the schedule."""
+        blk = self._blk
         ptr = self._mem_ptr + 1
-        if ptr == len(self._mem_pos):
-            ptr = 0
-            self._mem_base += self._period
-        self._mem_ptr = ptr
-        self._mem_next = self._mem_base + self._mem_pos[ptr]
+        if ptr < len(blk.mem):
+            self._mem_ptr = ptr
+            self._mem_next = blk.start + blk.mem[ptr]
+        else:
+            self._mem_next = _NEVER
 
     def next_event(self, limit: int) -> int:
         """Smallest global index >= ``retired`` whose instruction must be
         globally ordered (memory access, epoch boundary, or warmup end);
         ``limit`` when the core finishes first."""
         nxt = self._mem_next
+        if nxt == _NEVER:
+            # Load until a block holds a memory event or every position
+            # up to the next transition (or ``limit``) is resident.
+            need = min(self._next_epoch + 1, self._warm_idx + 1, limit)
+            while self._mem_next == _NEVER and self._loaded_to < need:
+                self._load_next_block()
+            nxt = self._mem_next
         if self._next_epoch < nxt:
             nxt = self._next_epoch
         if self._warm_idx < nxt:
@@ -214,241 +270,6 @@ class _CoreContext:
         """Bulk-execute global positions ``[start, stop)`` — guaranteed
         free of events: runs of unit-latency instructions stepped through
         ``run_simple``, mispredicted branches stepped individually."""
-        if stop <= start:
-            return
-        period = self._period
-        stats = self.hierarchy.stats
-        core = self.core
-        run_simple = core.run_simple
-        step = core.step
-        prefix = self._branch_prefix
-        mispreds = self._mispred_pos
-        g = start
-        while g < stop:
-            i = g % period
-            j = min(i + (stop - g), period)
-            stats.branches += prefix[j] - prefix[i]
-            pos = i
-            for m in mispreds[bisect_left(mispreds, i):
-                              bisect_left(mispreds, j)]:
-                if m > pos:
-                    run_simple(m - pos)
-                step(1.0, False, False, True)
-                stats.mispredicted_branches += 1
-                pos = m + 1
-            if j > pos:
-                run_simple(j - pos)
-            g += j - i
-        stats.instructions += stop - start
-        self.retired = stop
-
-    def execute_event(self) -> None:
-        """Execute the single instruction at ``retired`` (the pending
-        event) plus any epoch/warmup transition it triggers — exactly the
-        per-instruction reference semantics.  This is the generic path;
-        the run loop inlines the common case (a memory access away from
-        any transition boundary)."""
-        event_index = self.retired
-        i = event_index % self._period
-        f = self._flags[i]
-        hierarchy = self.hierarchy
-        core = self.core
-        stats = hierarchy.stats
-        if f & FLAG_LOAD:
-            issue = core.begin((f & FLAG_DEP) != 0)
-            result = hierarchy.load(self._pcs[i], self._addrs[i], issue)
-            core.finish(result.latency, True)
-            stats.loads += 1
-            self._advance_mem_ptr()
-        elif f & FLAG_STORE:
-            issue = core.begin()
-            latency = hierarchy.store(self._pcs[i], self._addrs[i], issue)
-            core.finish(latency)
-            stats.stores += 1
-            self._advance_mem_ptr()
-        elif f & FLAG_BRANCH:
-            mispred = bool(f & FLAG_MISPRED)
-            core.step(1.0, False, False, mispred)
-            stats.branches += 1
-            if mispred:
-                stats.mispredicted_branches += 1
-        else:
-            core.step()
-        stats.instructions += 1
-        self.retired += 1
-        self._post_event(event_index)
-
-    def _post_event(self, event_index: int) -> None:
-        """Apply any warmup-end / epoch-boundary transition triggered by
-        the instruction just executed at ``event_index``."""
-        if event_index == self._warm_idx:
-            self._warm_idx = _NEVER
-            # End of this core's warm-up: caches and predictors stay warm,
-            # measured statistics restart (paper §6.1 methodology).  Only
-            # the private caches' hit counters reset — the shared LLC is
-            # still mid-warmup for other cores.
-            hierarchy = self.hierarchy
-            stats = hierarchy.stats
-            self._warmed = True
-            self.measure_start_cycles = self.core.cycles
-            Simulator._reset_measured_stats(
-                stats, hierarchy, include_shared_caches=False
-            )
-            self._epoch_snapshot = stats.snapshot()
-            self._epoch_cycles = self.core.cycles
-            self._epoch_busy = hierarchy.dram.busy_cycles
-            self._epoch_kinds = hierarchy.dram.kind_counts()
-        if event_index == self._next_epoch:
-            self._next_epoch += self.epoch_length
-            self._end_epoch()
-
-    def _end_epoch(self) -> None:
-        hierarchy = self.hierarchy
-        sim = Simulator.__new__(Simulator)  # reuse telemetry construction
-        sim.hierarchy = hierarchy
-        telemetry = sim._build_telemetry(
-            self._epoch_index,
-            hierarchy.stats,
-            self._epoch_snapshot,
-            self.core.cycles - self._epoch_cycles,
-            hierarchy.dram.busy_cycles - self._epoch_busy,
-            self._epoch_kinds,
-        )
-        action = self.policy.decide(telemetry)
-        hierarchy.set_prefetchers_enabled(action.prefetchers_enabled)
-        hierarchy.set_ocp_enabled(action.ocp_enabled)
-        hierarchy.set_degree_fraction(action.degree_fraction)
-        self._epoch_index += 1
-        self._epoch_snapshot = hierarchy.stats.snapshot()
-        self._epoch_cycles = self.core.cycles
-        self._epoch_busy = hierarchy.dram.busy_cycles
-        self._epoch_kinds = hierarchy.dram.kind_counts()
-
-
-class _WindowBlock:
-    """One trace block resident in a streamed context's sliding window,
-    pre-converted to the plain-scalar layout the event loop consumes."""
-
-    __slots__ = ("start", "stop", "pcs", "addrs", "flags", "mispred",
-                 "branch_prefix")
-
-    def __init__(self, start: int, pcs, addrs, flags) -> None:
-        self.start = start
-        self.stop = start + len(flags)
-        self.pcs = pcs.tolist()
-        self.addrs = addrs.tolist()
-        self.flags = flags.tolist()
-        #: block-local non-memory mispredicted-branch positions
-        self.mispred = np.flatnonzero(
-            ((flags & FLAG_MISPRED) != 0)
-            & ((flags & (FLAG_LOAD | FLAG_STORE)) == 0)
-        ).tolist()
-        #: branch_prefix[i] = branches among the first i block positions
-        self.branch_prefix = np.concatenate((
-            np.zeros(1, dtype=np.int64),
-            np.cumsum((flags & FLAG_BRANCH) != 0, dtype=np.int64),
-        )).tolist()
-
-
-class _StreamedCoreContext(_CoreContext):
-    """Core context fed block-at-a-time from a :class:`TraceStream`.
-
-    Holds a sliding window of :class:`_WindowBlock` instead of whole-trace
-    arrays: blocks are pulled lazily as the schedule needs them and
-    evicted once retired past, so peak memory is O(window), not O(trace).
-    Every instruction goes through the generic event path
-    (:meth:`execute_event` / :meth:`advance_private`), which is
-    semantically exact — results stay bit-identical to the materialized
-    contexts, just without their precomputed per-gap fast path.
-    """
-
-    _fast = False
-
-    def __init__(
-        self,
-        core_id: int,
-        trace: TraceStream,
-        hierarchy: CacheHierarchy,
-        policy: Optional["CoordinationPolicy"],
-        epoch_length: int,
-    ) -> None:
-        self.core_id = core_id
-        self.trace = trace
-        self.hierarchy = hierarchy
-        self.policy = policy
-        self.epoch_length = epoch_length
-        self.core = CoreModel(hierarchy.params.core)
-        self.retired = 0
-        self.warmup_instructions = 0
-        self.measure_start_cycles = 0.0
-        self._warmed = False
-        self._period = len(trace)
-        self._next_epoch = epoch_length - 1 if policy is not None else _NEVER
-        self._warm_idx = _NEVER  # set by MultiCoreSimulator
-        self._epoch_snapshot = hierarchy.stats.snapshot()
-        self._epoch_cycles = 0.0
-        self._epoch_busy = hierarchy.dram.busy_cycles
-        self._epoch_kinds = hierarchy.dram.kind_counts()
-        self._epoch_index = 0
-        #: blocks covering [window[0].start, _loaded_to), contiguous
-        self._window: deque = deque()
-        #: global indices >= retired of pending memory events, in order
-        self._mem_events: deque = deque()
-        self._iter = iter(trace)
-        self._replay_base = 0
-        self._loaded_to = 0
-        if policy is not None:
-            policy.attach(hierarchy)
-
-    # -- block window -------------------------------------------------------
-
-    def _load_next_block(self) -> None:
-        """Pull one more block into the window (restarting the stream at
-        the replay boundary) and index its memory events."""
-        try:
-            block = next(self._iter)
-        except StopIteration:
-            self._replay_base += self._period
-            self._iter = iter(self.trace)
-            block = next(self._iter)
-        start = self._replay_base + block.start
-        wb = _WindowBlock(start, block.pcs, block.addrs, block.flags)
-        self._window.append(wb)
-        mem = np.flatnonzero(
-            (block.flags & (FLAG_LOAD | FLAG_STORE)) != 0
-        ).tolist()
-        self._mem_events.extend(start + m for m in mem)
-        self._loaded_to = wb.stop
-
-    def _block_at(self, index: int) -> _WindowBlock:
-        """The window block containing global position ``index``, loading
-        forward and evicting fully-retired blocks as needed."""
-        while self._loaded_to <= index:
-            self._load_next_block()
-        window = self._window
-        while window[0].stop <= index:
-            window.popleft()
-        return window[0]
-
-    # -- event schedule -----------------------------------------------------
-
-    def next_event(self, limit: int) -> int:
-        cap = limit
-        if self._next_epoch < cap:
-            cap = self._next_epoch
-        if self._warm_idx < cap:
-            cap = self._warm_idx
-        events = self._mem_events
-        retired = self.retired
-        while events and events[0] < retired:
-            events.popleft()
-        while not events and self._loaded_to <= cap:
-            self._load_next_block()
-        if events and events[0] < cap:
-            return events[0]
-        return cap
-
-    def advance_private(self, start: int, stop: int) -> None:
         if stop <= start:
             return
         stats = self.hierarchy.stats
@@ -478,6 +299,11 @@ class _StreamedCoreContext(_CoreContext):
         self.retired = stop
 
     def execute_event(self) -> None:
+        """Execute the single instruction at ``retired`` (the pending
+        event) plus any epoch/warmup transition it triggers — exactly the
+        per-instruction reference semantics.  This is the generic path;
+        the run loop inlines the common case (a memory access away from
+        any transition boundary)."""
         event_index = self.retired
         blk = self._block_at(event_index)
         i = event_index - blk.start
@@ -490,13 +316,13 @@ class _StreamedCoreContext(_CoreContext):
             result = hierarchy.load(blk.pcs[i], blk.addrs[i], issue)
             core.finish(result.latency, True)
             stats.loads += 1
-            self._pop_mem_event(event_index)
+            self._advance_mem_ptr()
         elif f & FLAG_STORE:
             issue = core.begin()
             latency = hierarchy.store(blk.pcs[i], blk.addrs[i], issue)
             core.finish(latency)
             stats.stores += 1
-            self._pop_mem_event(event_index)
+            self._advance_mem_ptr()
         elif f & FLAG_BRANCH:
             mispred = bool(f & FLAG_MISPRED)
             core.step(1.0, False, False, mispred)
@@ -509,10 +335,27 @@ class _StreamedCoreContext(_CoreContext):
         self.retired += 1
         self._post_event(event_index)
 
-    def _pop_mem_event(self, event_index: int) -> None:
-        events = self._mem_events
-        if events and events[0] == event_index:
-            events.popleft()
+    def _post_event(self, event_index: int) -> None:
+        """Apply any warmup-end / epoch-boundary transition triggered by
+        the instruction just executed at ``event_index``."""
+        if event_index == self._warm_idx:
+            self._warm_idx = _NEVER
+            # End of this core's warm-up: caches and predictors stay warm,
+            # measured statistics restart (paper §6.1 methodology).  Only
+            # the private caches' hit counters reset — the shared LLC is
+            # still mid-warmup for other cores.
+            self.measure_start_cycles = self.core.cycles
+            reset_measured_stats(self.hierarchy, include_shared_caches=False)
+            self._epoch_start = epoch_start(self.hierarchy, self.core)
+        if event_index == self._next_epoch:
+            self._next_epoch += self.epoch_length
+            hierarchy = self.hierarchy
+            telemetry = epoch_telemetry(
+                self._epoch_index, hierarchy, self.core, self._epoch_start
+            )
+            apply_action(hierarchy, self.policy.decide(telemetry))
+            self._epoch_index += 1
+            self._epoch_start = epoch_start(hierarchy, self.core)
 
 
 class MultiCoreSimulator:
@@ -541,30 +384,19 @@ class MultiCoreSimulator:
         self.shared_dram = MainMemory(params.dram)
         self.instructions_per_core = instructions_per_core
         self.contexts: List[_CoreContext] = []
+        warmup_instructions = int(instructions_per_core * warmup_fraction)
         for core_id, trace in enumerate(traces):
             hierarchy = hierarchy_factory(
                 params, self.shared_llc, self.shared_dram
             )
-            context_cls = (
-                _StreamedCoreContext if isinstance(trace, TraceStream)
-                else _CoreContext
-            )
-            context = context_cls(
+            self.contexts.append(_CoreContext(
                 core_id=core_id,
                 trace=trace,
                 hierarchy=hierarchy,
                 policy=policy_factory(),
                 epoch_length=epoch_length,
-            )
-            context.warmup_instructions = int(
-                instructions_per_core * warmup_fraction
-            )
-            context._warmed = context.warmup_instructions == 0
-            context._warm_idx = (
-                _NEVER if context._warmed
-                else context.warmup_instructions - 1
-            )
-            self.contexts.append(context)
+                warmup_instructions=warmup_instructions,
+            ))
 
     def run(self) -> MultiCoreResult:
         limit = self.instructions_per_core
@@ -586,48 +418,50 @@ class MultiCoreSimulator:
             while True:
                 ctx = contexts[key[1]]
                 r = ctx.retired
-                if ctx._fast and r == ctx._mem_next \
-                        and r < ctx._next_epoch and r < ctx._warm_idx:
+                if r == ctx._mem_next and r < ctx._next_epoch \
+                        and r < ctx._warm_idx:
                     # Fast path: a memory access away from any transition
                     # boundary, followed by its precomputed private gap.
                     core = ctx.core
                     hierarchy = ctx.hierarchy
                     stats = hierarchy.stats
+                    blk = ctx._blk
                     ptr = ctx._mem_ptr
-                    i = ctx._mem_pos[ptr]
-                    f = ctx._flags[i]
+                    i = blk.mem[ptr]
+                    f = blk.flags[i]
                     if f & FLAG_LOAD:
                         issue = core.begin((f & FLAG_DEP) != 0)
                         result = hierarchy.load(
-                            ctx._pcs[i], ctx._addrs[i], issue
+                            blk.pcs[i], blk.addrs[i], issue
                         )
                         core.finish(result.latency, True)
                         stats.loads += 1
                     else:
                         issue = core.begin()
                         latency = hierarchy.store(
-                            ctx._pcs[i], ctx._addrs[i], issue
+                            blk.pcs[i], blk.addrs[i], issue
                         )
                         core.finish(latency)
                         stats.stores += 1
                     r += 1
                     ctx._advance_mem_ptr()
-                    gap = ctx._gap_len[ptr]
+                    gap = blk.gap_len[ptr]
                     end = r + gap
-                    if gap and ctx._gap_clean[ptr] and end <= limit \
+                    if gap and blk.gap_clean[ptr] and end <= limit \
                             and end <= ctx._next_epoch \
                             and end <= ctx._warm_idx:
                         core.run_simple(gap)
-                        stats.branches += ctx._gap_branches[ptr]
+                        stats.branches += blk.gap_branches[ptr]
                         stats.instructions += gap + 1
                         ctx.retired = end
                     else:
+                        # the gap holds a mispredicted branch, crosses a
+                        # boundary, or is its block's last (clipped) one
                         stats.instructions += 1
                         ctx.retired = r
                         ctx.advance_private(r, ctx.next_event(limit))
                 else:
-                    # Generic path: epoch/warmup transitions, or a gap
-                    # holding a mispredicted branch.
+                    # Generic path: epoch/warmup transitions.
                     ctx.execute_event()
                     ctx.advance_private(ctx.retired, ctx.next_event(limit))
                 if ctx.retired >= limit:

@@ -1,9 +1,10 @@
 """Chunk-boundary equivalence battery for the streaming trace substrate.
 
 The streaming path (:mod:`repro.workloads.streaming`, the per-chunk
-cache tier, ``Simulator._run_streamed``, ``_StreamedCoreContext``) must
-be *bit-identical* to the materialized reference at every block size.
-This suite pins that invariant from four directions:
+cache tier, and the simulators' block-at-a-time run loops, which see a
+materialized trace as a single block) must be *bit-identical* to the
+materialized reference at every block size.  This suite pins that
+invariant from five directions:
 
 - every golden trace digest (``tests/golden/trace_hashes.json``)
   reproduces when the trace is emitted block-at-a-time, at block sizes
@@ -15,6 +16,8 @@ This suite pins that invariant from four directions:
   and multi-core, at block sizes {1, 64, 1024, full};
 - producer/consumer mixes whose sync events straddle chunk edges
   produce payload-identical results streamed vs materialized;
+- a mix core replaying a short trace hands its run across replay and
+  block edges identically at block sizes {1, 7, 997, full};
 - warmup checkpoints re-enter the measured region with stats identical
   to an uninterrupted run, including through the durable queue after a
   worker crash.
@@ -40,7 +43,8 @@ from repro.engine.jobs import (
     _build_policy,
     encode_result,
 )
-from repro.experiments.configs import CacheDesign, build_hierarchy
+from repro.experiments.configs import CacheDesign, build_hierarchy, system_for
+from repro.sim.multicore import MultiCoreSimulator
 from repro.sim.simulator import Simulator
 from repro.workloads.generators import WORKLOAD_PLANS
 from repro.workloads.streaming import (
@@ -290,6 +294,52 @@ class TestSyncStraddle:
         for block, payload in got.items():
             assert payload == want, \
                 f"block={block}: {_describe_diff(payload, want)}"
+
+
+# ---------------------------------------------------------------------------
+# multicore replay seams
+# ---------------------------------------------------------------------------
+
+class TestReplaySeams:
+    """A mix core whose trace is shorter than ``instructions_per_core``
+    replays it; the replay edge is a block edge at every block size, and
+    the memory-gap fast path must hand the run across it (and across
+    every block edge) exactly as a whole-trace block does."""
+
+    SHORT, LONG = 700, 2_100  # the short trace replays 3x
+    EPOCH = 160               # divides neither trace length
+    BLOCKS = (1, 7, 997, None)
+
+    def _payload(self, block):
+        short = find_workload("ext.producer_consumer.0")
+        long = find_workload("spec06.mcf_like.0")
+        if block is None:
+            traces = [short.build(self.SHORT), long.build(self.LONG)]
+        else:
+            traces = [short.stream(self.SHORT, min(block, self.SHORT)),
+                      long.stream(self.LONG, min(block, self.LONG))]
+        design = CacheDesign.cd1()
+        sim = MultiCoreSimulator(
+            traces=traces,
+            params=system_for(design),
+            hierarchy_factory=lambda p, llc, dram: build_hierarchy(
+                design, params=p, llc=llc, dram=dram),
+            policy_factory=lambda: _build_policy("tlp", None, ()),
+            instructions_per_core=self.LONG,
+            epoch_length=self.EPOCH,
+            warmup_fraction=0.2,
+        )
+        return json.loads(json.dumps(encode_result(sim.run())))
+
+    def test_streamed_replay_matches_materialized(self):
+        want = self._payload(None)
+        assert [core["instructions"] for core in want["cores"]] == \
+            [int(self.LONG * 0.8)] * 2
+        for block in self.BLOCKS:
+            size = block or self.LONG
+            got = self._payload(size)
+            assert got == want, \
+                f"block={size}: {_describe_diff(got, want)}"
 
 
 # ---------------------------------------------------------------------------

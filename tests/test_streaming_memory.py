@@ -14,7 +14,8 @@ import tracemalloc
 
 import pytest
 
-from repro.experiments.configs import CacheDesign, build_hierarchy
+from repro.experiments.configs import CacheDesign, build_hierarchy, system_for
+from repro.sim.multicore import MultiCoreSimulator
 from repro.sim.simulator import Simulator
 from repro.workloads.suites import find_workload
 
@@ -57,6 +58,27 @@ def _simulate_peak(length: int, block_size: int) -> int:
         tracemalloc.stop()
 
 
+def _mix_peak(length: int, block_size: int) -> int:
+    """Traced peak of a streamed 2-core :class:`MultiCoreSimulator` run."""
+    design = CacheDesign.cd1()
+    sim = MultiCoreSimulator(
+        traces=[find_workload(name).stream(length, block_size)
+                for name in (SPEC_NAME, "spec06.mcf_like.0")],
+        params=system_for(design),
+        hierarchy_factory=lambda p, llc, dram: build_hierarchy(
+            design, params=p, llc=llc, dram=dram),
+        policy_factory=lambda: None,
+        instructions_per_core=length,
+        warmup_fraction=0.2,
+    )
+    tracemalloc.start()
+    try:
+        sim.run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestStreamedMemoryCeiling:
     def test_consumption_peak_is_flat_in_trace_length(self):
         """Tripling the trace length must not grow the traced peak:
@@ -83,6 +105,17 @@ class TestStreamedMemoryCeiling:
         # materialized trace regression at 10x length shows up
         # immediately in the full run below.
         assert peak < 4 * 1024 * 1024
+
+    def test_mix_peak_is_flat_in_trace_length(self):
+        """A streamed mix evicts each core's retired blocks whichever
+        path retired them, so tripling the trace length grows only the
+        simulator state (caches and predictors filling), not the
+        resident trace: each core holding its whole trace as scalar
+        lists would roughly double the peak here."""
+        block = 1_024
+        base = _mix_peak(10_000, block)
+        tripled = _mix_peak(30_000, block)
+        assert tripled < 1.5 * base
 
     @pytest.mark.skipif(
         os.environ.get("REPRO_MEMTEST_FULL") != "1",
