@@ -33,7 +33,8 @@ from ..policies.base import CoordinationAction
 from ..policies.registry import make_policy
 from ..sim.multicore import CoreResult, MultiCoreResult, MultiCoreSimulator
 from ..sim.simulator import SimulationResult, Simulator
-from ..sim.stats import EpochTelemetry, SimStats
+from ..sim.stats import (EPOCH_FIELDS, STAT_FIELDS, EpochTelemetry,
+                         SimStats)
 from ..workloads.suites import WorkloadSpec, build_trace, stream_trace
 from .store import StoreDecodeError
 
@@ -312,8 +313,8 @@ Result = Union[SimulationResult, MultiCoreResult]
 # result codecs
 # ---------------------------------------------------------------------------
 
-def _dataclass_dict(obj) -> dict:
-    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+def _dataclass_dict(obj, names: Tuple[str, ...]) -> dict:
+    return {name: getattr(obj, name) for name in names}
 
 
 def _stats_from(payload: dict) -> SimStats:
@@ -331,7 +332,7 @@ def encode_result(result: Result) -> dict:
                     "workload": core.workload,
                     "instructions": core.instructions,
                     "cycles": core.cycles,
-                    "stats": _dataclass_dict(core.stats),
+                    "stats": _dataclass_dict(core.stats, STAT_FIELDS),
                 }
                 for core in result.cores
             ],
@@ -342,8 +343,9 @@ def encode_result(result: Result) -> dict:
         "workload": result.workload,
         "instructions": result.instructions,
         "cycles": result.cycles,
-        "stats": _dataclass_dict(result.stats),
-        "epochs": [_dataclass_dict(epoch) for epoch in result.epochs],
+        "stats": _dataclass_dict(result.stats, STAT_FIELDS),
+        "epochs": [_dataclass_dict(epoch, EPOCH_FIELDS)
+                   for epoch in result.epochs],
         "actions": [
             {
                 "prefetchers_enabled": list(action.prefetchers_enabled),

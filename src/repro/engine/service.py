@@ -105,9 +105,10 @@ class QueueWorker:
         path writes results.
     jobs:
         In-worker parallelism.  ``1`` executes leased jobs inline in
-        this process; ``>1`` fans them out through a
-        :class:`~repro.engine.pool.SimulationPool`, with per-attempt
-        wall-clock timeouts from ``policy`` enforced by pool rebuild.
+        this process; ``>1`` keeps up to ``jobs`` attempts in flight
+        through a :class:`~repro.engine.pool.SimulationPool`, leasing
+        the next job as each one finishes, with per-attempt wall-clock
+        timeouts from ``policy`` enforced by pool rebuild.
     policy / faults:
         PR 7's retry/timeout discipline and deterministic fault
         injector.  The queue carries the retry *count* (attempts); the
@@ -211,42 +212,56 @@ class QueueWorker:
         (``done`` or ``failed``), even if unrelated jobs remain.
         ``max_idle_s`` bounds how long the worker idles without
         obtaining a single lease before giving up.
+
+        The pool path is a sliding window: up to ``jobs`` attempts are
+        in flight, and each settled attempt frees a slot that the next
+        iteration leases into, so a fast job never waits for a slow
+        sibling.
         """
         watch: Optional[Set[str]] = (set(watch_keys)
                                      if watch_keys is not None else None)
         report = WorkerReport(owner=self.owner)
+        inline = self.jobs <= 1 and self._pool is None
+        window = _Window()
         idle_since: Optional[float] = None
         try:
             while True:
                 self._reclaim(report)
                 self._update_depth()
-                if watch is not None and self._settled(watch):
+                # the O(keys) state query is paid only between fills
+                if (not window.leases and watch is not None
+                        and self._settled(watch)):
                     break
-                leases = self.queue.lease(
-                    self.owner, ttl_s=self.lease_ttl_s,
-                    limit=self.jobs)
-                if not leases:
-                    if watch is None and self.queue.drained():
+                room = self.jobs - len(window.leases)
+                leases = (self.queue.lease(self.owner,
+                                           ttl_s=self.lease_ttl_s,
+                                           limit=room)
+                          if room > 0 else [])
+                if leases:
+                    idle_since = None
+                    report.leased += len(leases)
+                    self._count("leased", len(leases))
+                    self._emit("lease", owner=self.owner,
+                               count=len(leases),
+                               keys=[lease.key for lease in leases])
+                    pending = self._resume_from_store(leases, report)
+                    if inline:
+                        self._execute_inline(pending, report)
+                    else:
+                        self._submit(window, pending)
+                if window.leases:
+                    self._await_window(window, report)
+                    continue
+                if leases:
+                    continue
+                if watch is None and self.queue.drained():
+                    break
+                if max_idle_s is not None:
+                    if idle_since is None:
+                        idle_since = time.monotonic()
+                    elif time.monotonic() - idle_since >= max_idle_s:
                         break
-                    if max_idle_s is not None:
-                        if idle_since is None:
-                            idle_since = time.monotonic()
-                        elif time.monotonic() - idle_since >= max_idle_s:
-                            break
-                    time.sleep(self.poll_s)
-                    continue
-                idle_since = None
-                report.leased += len(leases)
-                self._count("leased", len(leases))
-                self._emit("lease", owner=self.owner, count=len(leases),
-                           keys=[lease.key for lease in leases])
-                leases = self._resume_from_store(leases, report)
-                if not leases:
-                    continue
-                if self.jobs <= 1 and self._pool is None:
-                    self._execute_inline(leases, report)
-                else:
-                    self._execute_pool(leases, report)
+                time.sleep(self.poll_s)
         finally:
             self._update_depth()
             if self._owns_pool and self._pool is not None:
@@ -413,21 +428,25 @@ class QueueWorker:
         return False
 
     def _settle_survivors(self, survivors, expired, report) -> None:
-        """After a pool teardown: keep finished work, refund the rest.
+        """Tear the pool down: keep finished work, refund the rest.
 
         Finished futures still hold real results — consume them.
         Expired ones observe a ``timeout`` failure (charged).  The
         merely in-flight are *innocent*: released back to pending with
         their attempt refunded, the cross-process analogue of
-        BatchExecution's no-fault resubmission.
+        BatchExecution's no-fault resubmission.  Which futures finished
+        is read before the teardown, because killing the workers breaks
+        every future still in flight.
         """
+        finished = {future for future, _ in survivors if future.done()}
+        self._rebuild_pool()
         for future, lease in survivors:
             if future in expired:
                 self._fail(
                     lease, "timeout",
                     f"attempt exceeded {self.policy.timeout_s}s "
                     f"wall-clock budget", report=report)
-            elif future.done():
+            elif future in finished:
                 self._consume_future(future, lease, report)
             else:
                 self.pool.discard(lease.key)
@@ -435,65 +454,66 @@ class QueueWorker:
                 report.released += 1
                 self._count("released")
 
-    def _execute_pool(self, leases: List[Lease],
-                      report: WorkerReport) -> None:
-        """Fan leased jobs out through the worker pool.
-
-        Heartbeats fire on ``heartbeat_s`` while futures run; the
-        policy's per-attempt wall-clock timeout is enforced the only
-        way ProcessPoolExecutor allows — tearing the pool down — with
-        innocent siblings released uncharged.
-        """
-        futures: Dict[object, Lease] = {}
-        deadlines: Dict[object, float] = {}
+    def _submit(self, window: _Window, leases: List[Lease]) -> None:
+        """Put leased attempts in flight, each with its own deadline."""
+        now = time.monotonic()
+        if not window.leases:
+            window.next_beat = now + self.heartbeat_s
         for lease in leases:
             future = self.pool.submit(lease.key, lease.request,
                                       faults=self.faults,
                                       attempt=lease.attempt)
-            futures[future] = lease
+            window.leases[future] = lease
             if self.policy.timeout_s is not None:
-                deadlines[future] = (time.monotonic()
-                                     + self.policy.timeout_s)
-        next_beat = time.monotonic() + self.heartbeat_s
-        while futures:
-            horizon = [next_beat]
-            if deadlines:
-                horizon.append(min(deadlines.values()))
-            timeout = max(0.02, min(horizon) - time.monotonic())
-            done, _ = wait(set(futures), timeout=timeout,
-                           return_when=FIRST_COMPLETED)
-            crashed = False
-            for future in done:
-                lease = futures.pop(future, None)
-                if lease is None:
-                    continue
-                deadlines.pop(future, None)
-                crashed = self._consume_future(future, lease, report) \
-                    or crashed
-            if crashed:
-                survivors = list(futures.items())
-                futures.clear()
-                deadlines.clear()
-                self._rebuild_pool()
-                self._settle_survivors(survivors, expired=set(),
-                                       report=report)
-                return
-            if deadlines:
-                now = time.monotonic()
-                expired = {
-                    future for future, due in deadlines.items()
-                    if due <= now and not future.done()
-                }
-                if expired:
-                    survivors = list(futures.items())
-                    futures.clear()
-                    deadlines.clear()
-                    self._rebuild_pool()
-                    self._settle_survivors(survivors, expired=expired,
-                                           report=report)
-                    return
-            if futures and time.monotonic() >= next_beat:
-                self.queue.heartbeat(
-                    [lease.key for lease in futures.values()],
-                    self.owner, ttl_s=self.lease_ttl_s)
-                next_beat = time.monotonic() + self.heartbeat_s
+                window.deadlines[future] = now + self.policy.timeout_s
+
+    def _await_window(self, window: _Window,
+                      report: WorkerReport) -> None:
+        """Wait until an attempt settles, a deadline passes or a
+        heartbeat is due, then settle whatever finished.
+
+        The policy's per-attempt wall-clock timeout is enforced the
+        only way ProcessPoolExecutor allows — tearing the pool down —
+        with innocent siblings released uncharged.
+        """
+        horizon = window.next_beat
+        if window.deadlines:
+            horizon = min(horizon, min(window.deadlines.values()))
+        done, _ = wait(window.leases,
+                       timeout=max(0.02, horizon - time.monotonic()),
+                       return_when=FIRST_COMPLETED)
+        crashed = False
+        for future in done:
+            lease = window.leases.pop(future)
+            window.deadlines.pop(future, None)
+            crashed = self._consume_future(future, lease, report) \
+                or crashed
+        expired: Set[object] = set()
+        if window.deadlines and not crashed:
+            now = time.monotonic()
+            expired = {future for future, due in window.deadlines.items()
+                       if due <= now and not future.done()}
+        if crashed or expired:
+            survivors = list(window.leases.items())
+            window.leases.clear()
+            window.deadlines.clear()
+            self._settle_survivors(survivors, expired=expired,
+                                   report=report)
+            return
+        if window.leases and time.monotonic() >= window.next_beat:
+            self.queue.heartbeat(
+                [lease.key for lease in window.leases.values()],
+                self.owner, ttl_s=self.lease_ttl_s)
+            window.next_beat = time.monotonic() + self.heartbeat_s
+
+
+@dataclass
+class _Window:
+    """The pool path's in-flight attempts, kept across drain iterations."""
+
+    #: future → the lease it executes
+    leases: Dict[object, Lease] = field(default_factory=dict)
+    #: future → monotonic deadline (only with a policy timeout)
+    deadlines: Dict[object, float] = field(default_factory=dict)
+    #: monotonic time of the next lease heartbeat
+    next_beat: float = 0.0

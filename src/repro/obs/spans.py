@@ -29,7 +29,7 @@ import os
 import threading
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional
 
 __all__ = [
     "SpanCollector",
@@ -38,6 +38,7 @@ __all__ = [
     "set_enabled",
     "span",
     "spans_enabled",
+    "timed_iter",
     "worker_id",
 ]
 
@@ -97,6 +98,49 @@ class SpanCollector:
             record["cpu_s"] = time.process_time() - cpu0
             record["start_s"] = start
             stack.pop()
+            with self._lock:
+                self._spans.append(record)
+
+    def timed_iter(self, name: str, items: Iterable,
+                   **attrs) -> Iterator:
+        """Iterate ``items``, timing only the production of each item.
+
+        A ``with span(...)`` around a generator's ``yield`` would also
+        time the consumer between items — and nest the consumer's spans
+        under it.  This times each ``next()`` instead and records one
+        span with the summed wall and CPU time when the iteration ends
+        or is abandoned.  Disabled, ``items`` is iterated untouched.
+        """
+        if not self.enabled:
+            return iter(items)
+        return self._timed(name, iter(items), attrs)
+
+    def _timed(self, name: str, items: Iterator, attrs: Dict) -> Iterator:
+        stack = getattr(self._local, "stack", None) or []
+        record: Dict = {
+            "name": name,
+            "path": "/".join(stack + [name]),
+            "worker": worker_id(),
+            **attrs,
+        }
+        start = time.time()
+        wall = cpu = 0.0
+        try:
+            while True:
+                cpu0 = time.process_time()
+                wall0 = time.perf_counter()
+                try:
+                    item = next(items)
+                except StopIteration:
+                    return
+                finally:
+                    wall += time.perf_counter() - wall0
+                    cpu += time.process_time() - cpu0
+                yield item
+        finally:
+            record["wall_s"] = wall
+            record["cpu_s"] = cpu
+            record["start_s"] = start
             with self._lock:
                 self._spans.append(record)
 
@@ -170,3 +214,9 @@ def set_enabled(flag: bool) -> None:
 def span(name: str, **attrs):
     """Record one span on the process-wide collector (context manager)."""
     return collector().span(name, **attrs)
+
+
+def timed_iter(name: str, items: Iterable, **attrs) -> Iterator:
+    """Iterate ``items`` under one production-only span
+    (:meth:`SpanCollector.timed_iter`) on the process-wide collector."""
+    return collector().timed_iter(name, items, **attrs)

@@ -24,6 +24,7 @@ no observer is attached, and :meth:`load` returns a single reused
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Callable, List, Optional, Sequence
 
 from ..ocp.base import OffChipPredictor
@@ -76,9 +77,9 @@ class CacheHierarchy:
                                 if p.level == "l2c"]
         #: Optional per-request prefetch drop filter (used by TLP).
         self.prefetch_filter: Optional[PrefetchFilter] = None
-        #: Recently prefetch-evicted LLC victims, for pollution accounting.
-        self._pollution_victims: dict = {}
-        self._pollution_clock = 0
+        #: Recently prefetch-evicted LLC victims, for pollution accounting
+        #: (an insertion-ordered set: oldest victim first).
+        self._pollution_victims: OrderedDict = OrderedDict()
         #: Observers notified of microarchitectural events (Athena trackers).
         self.observers: List = []
         # Per-method bound-callback cache, rebuilt when the observers list
@@ -369,11 +370,15 @@ class CacheHierarchy:
             self.stats.prefetch_fills_offchip_useless += 1
 
     def _record_pollution_victim(self, line_addr: int) -> None:
-        self._pollution_clock += 1
-        self._pollution_victims[line_addr] = self._pollution_clock
-        if len(self._pollution_victims) > _POLLUTION_WINDOW:
-            oldest = min(self._pollution_victims, key=self._pollution_victims.get)
-            del self._pollution_victims[oldest]
+        # Popping before re-inserting keeps the order equal to eviction
+        # order, so the front entry is the oldest victim.  OrderedDict
+        # pops its front in O(1); a plain dict's ``next(iter(...))``
+        # would rescan the holes its front deletions leave behind.
+        victims = self._pollution_victims
+        victims.pop(line_addr, None)
+        victims[line_addr] = None
+        if len(victims) > _POLLUTION_WINDOW:
+            victims.popitem(last=False)
 
     def _credit_useful_prefetch(self, cache: Cache, slot: int, line: int,
                                 level: str = "llc") -> None:

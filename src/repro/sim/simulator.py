@@ -27,7 +27,7 @@ block size.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Union
 
 import numpy as np
@@ -46,7 +46,7 @@ from ..workloads.trace import (
 )
 from .cpu import CoreModel
 from .hierarchy import CacheHierarchy
-from .stats import EpochTelemetry, SimStats
+from .stats import STAT_FIELDS, EpochTelemetry, SimStats
 
 
 @dataclass
@@ -429,8 +429,8 @@ def reset_measured_stats(
     """
     stats = hierarchy.stats
     fresh = SimStats()
-    for f in fields(fresh):
-        setattr(stats, f.name, getattr(fresh, f.name))
+    for name in STAT_FIELDS:
+        setattr(stats, name, getattr(fresh, name))
     hierarchy.reset_cache_hit_counters(include_shared=include_shared_caches)
 
 

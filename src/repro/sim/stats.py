@@ -116,16 +116,21 @@ class SimStats:
         return self.ocp_correct / self.ocp_predictions
 
     def snapshot(self) -> "SimStats":
-        return SimStats(**{f.name: getattr(self, f.name) for f in fields(self)})
+        return SimStats(**{name: getattr(self, name) for name in STAT_FIELDS})
 
     def delta_from(self, earlier: "SimStats") -> "SimStats":
         """Counters accumulated since ``earlier`` (an older snapshot)."""
         return SimStats(
             **{
-                f.name: getattr(self, f.name) - getattr(earlier, f.name)
-                for f in fields(self)
+                name: getattr(self, name) - getattr(earlier, name)
+                for name in STAT_FIELDS
             }
         )
+
+
+#: SimStats field names, resolved once: ``fields()`` rebuilds its tuple
+#: on every call, and snapshots are taken every epoch.
+STAT_FIELDS = tuple(f.name for f in fields(SimStats))
 
 
 @dataclass
@@ -177,6 +182,10 @@ class EpochTelemetry:
             raise KeyError(
                 f"unknown feature {name!r}; valid: {sorted(mapping)}"
             ) from None
+
+
+#: EpochTelemetry field names, resolved once (see :data:`STAT_FIELDS`).
+EPOCH_FIELDS = tuple(f.name for f in fields(EpochTelemetry))
 
 
 #: The seven candidate features of paper Table 1, in paper order.

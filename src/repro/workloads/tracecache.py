@@ -38,7 +38,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from ..obs.spans import span
+from ..obs.spans import span, timed_iter
 from .streaming import TraceBlock, TraceStream, blocks_from_trace
 from .trace import Trace
 from .traceio import TraceFormatError, load_trace, save_trace
@@ -328,8 +328,9 @@ class TraceCache:
                 except OSError:
                     writable = False
             chunks = 0
-            with span("trace_build", workload=getattr(spec, "name", "?"),
-                      length=length):
+
+            def tee() -> Iterator[TraceBlock]:
+                nonlocal writable, chunks
                 for block in raw:
                     if writable:
                         piece = Trace(
@@ -346,6 +347,12 @@ class TraceCache:
                             writable = False
                     chunks += 1
                     yield block
+
+            # time the emission and the tee, not the consumer between
+            # blocks: one span per traversal, summed over its blocks
+            yield from timed_iter(
+                "trace_build", tee(),
+                workload=getattr(spec, "name", "?"), length=length)
             # Traversal finished: the emitter's overshoot rename (if
             # any) has landed on ``raw.name``.  An abandoned traversal
             # never gets here, so it leaves no completeness marker.

@@ -262,3 +262,30 @@ class TestObservers:
         h = make_hierarchy()
         h.observers.append(Empty())
         h.load(0x400, addr(100), 0.0)  # must not raise
+
+
+class TestPollutionWindow:
+    def test_eviction_matches_min_stamp_rule(self, monkeypatch):
+        import random
+
+        import repro.sim.hierarchy as hierarchy
+
+        window = 8
+        monkeypatch.setattr(hierarchy, "_POLLUTION_WINDOW", window)
+        rng = random.Random(1)
+        for _ in range(20):
+            h = make_hierarchy()
+            stamps, clock = {}, 0  # reference: evict the oldest stamp
+            for _ in range(400):
+                line = rng.randrange(24)
+                if rng.random() < 0.2:
+                    # a demand miss consumes a remembered victim
+                    h._pollution_victims.pop(line, None)
+                    stamps.pop(line, None)
+                    continue
+                h._record_pollution_victim(line)
+                clock += 1
+                stamps[line] = clock
+                if len(stamps) > window:
+                    del stamps[min(stamps, key=stamps.get)]
+                assert set(h._pollution_victims) == set(stamps)

@@ -477,6 +477,75 @@ class TestQueueWorker:
             assert report.completed == 0
 
 
+def _hanging(keys, victims, hang_s):
+    """A FaultPlan that hangs exactly ``victims`` among ``keys``."""
+    want = {key: "hang" for key in victims}
+    for seed in range(1000):
+        plan = FaultPlan(rates=(("hang", 0.3),), seed=seed, times=1,
+                         hang_s=hang_s)
+        if plan.victims(keys) == want:
+            return plan
+    raise AssertionError("no seed hangs exactly the victims")
+
+
+class TestSlidingWindow:
+    """``jobs=2``: a slot freed by a finished attempt is refilled at
+    once, so a hung attempt never holds back the jobs queued behind it."""
+
+    def test_hung_attempt_does_not_hold_back_the_queue(self, tmp_path):
+        requests = _requests(6)
+        keys = [r.key() for r in requests]
+        hung = keys[0]  # FIFO: leased in the first pair
+        order = []
+        with JobQueue(tmp_path / "q.sqlite") as q:
+            q.dispatch(_keyed(requests))
+            worker = QueueWorker(
+                q, jobs=2, policy=FAST,
+                faults=_hanging(keys, [hung], hang_s=2.0),
+                progress=lambda done, total, key: order.append(key))
+            report = worker.run()
+            assert report.completed == 6
+            assert report.retried == report.released == 0
+            assert q.counts()["done"] == 6
+        # lockstep pairs would finish keys[2:] only after the hang
+        assert sorted(order) == sorted(keys)
+        assert order[-1] == hung
+
+    def test_timeout_charges_the_hung_attempt_and_refunds_a_sibling(
+            self, tmp_path):
+        requests = _requests(5)
+        # keys[1] runs beside keys[0]; the slot it frees goes to
+        # keys[2], which hangs too but started later, so its deadline
+        # falls after keys[0]'s: it is in flight, not expired, when
+        # keys[0] times out.
+        requests[1] = _request(policy="none", trace_length=20_000)
+        keys = [r.key() for r in requests]
+        hung, sibling = keys[0], keys[2]
+        failures = []
+        with JobQueue(tmp_path / "q.sqlite") as q:
+            q.dispatch(_keyed(requests), max_retries=2)
+            worker = QueueWorker(
+                q, jobs=2,
+                policy=ExecutionPolicy(max_retries=2, backoff_s=0.0,
+                                       backoff_factor=1.0,
+                                       jitter_fraction=0.0,
+                                       timeout_s=1.0),
+                faults=_hanging(keys, [hung, sibling], hang_s=30.0),
+                on_failure=lambda failure, retrying: failures.append(
+                    (failure.key, failure.kind, retrying)))
+            report = worker.run()
+            # the sibling's own hang times out once it is re-leased
+            assert failures == [(hung, "timeout", True),
+                                (sibling, "timeout", True)]
+            assert report.released >= 1
+            assert report.completed == 5
+            assert q.counts() == {"pending": 0, "leased": 0,
+                                  "done": 5, "failed": 0}
+            assert q.get(hung).attempts == 2  # timed out, then succeeded
+            # one timeout plus one success: the release was uncharged
+            assert q.get(sibling).attempts == 2
+
+
 # ---------------------------------------------------------------------------
 # the Engine queue route and crash-resumable campaigns
 # ---------------------------------------------------------------------------

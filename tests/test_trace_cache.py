@@ -181,3 +181,31 @@ class TestEngineCounters:
         assert engine.counters.memo_hits == 1
         assert engine.counters.trace_builds == 1
         assert engine.counters.trace_hits == 0
+
+
+class TestStreamedBuildSpan:
+    def test_span_times_emission_not_the_consumer(self, tmp_path):
+        import time
+
+        from repro.obs.spans import SpanCollector, reset_collector, span
+
+        spans = reset_collector(SpanCollector(enabled=True))
+        try:
+            cache = TraceCache(max_bytes=1 << 30, disk_dir=tmp_path)
+            stream = cache.stream(SPEC, 4_000, 500)
+            blocks, pause = 0, 0.05
+            for _ in stream:  # a slow consumer: simulates each block
+                with span("simulate"):
+                    time.sleep(pause)
+                blocks += 1
+            assert cache.stats.builds == 1
+            assert list(tmp_path.rglob("meta.json"))  # the tee ran
+        finally:
+            reset_collector()
+        [build] = [s for s in spans.spans if s["name"] == "trace_build"]
+        assert blocks == 8
+        assert build["wall_s"] < blocks * pause
+        assert build["path"] == "trace_build"
+        simulate = [s for s in spans.spans if s["name"] == "simulate"]
+        assert len(simulate) == blocks
+        assert all(s["path"] == "simulate" for s in simulate)
