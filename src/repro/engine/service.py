@@ -216,7 +216,8 @@ class QueueWorker:
         The pool path is a sliding window: up to ``jobs`` attempts are
         in flight, and each settled attempt frees a slot that the next
         iteration leases into, so a fast job never waits for a slow
-        sibling.
+        sibling.  Once the watched keys settle it leases nothing more
+        and returns when the attempts still in flight are done.
         """
         watch: Optional[Set[str]] = (set(watch_keys)
                                      if watch_keys is not None else None)
@@ -228,11 +229,12 @@ class QueueWorker:
             while True:
                 self._reclaim(report)
                 self._update_depth()
-                # the O(keys) state query is paid only between fills
-                if (not window.leases and watch is not None
-                        and self._settled(watch)):
+                settled = watch is not None and self._settled(watch)
+                if settled and not window.leases:
                     break
-                room = self.jobs - len(window.leases)
+                # once the watched keys settle, lease nothing more and
+                # let the attempts still in flight finish
+                room = 0 if settled else self.jobs - len(window.leases)
                 leases = (self.queue.lease(self.owner,
                                            ttl_s=self.lease_ttl_s,
                                            limit=room)

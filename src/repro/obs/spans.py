@@ -78,28 +78,18 @@ class SpanCollector:
         if not self.enabled:
             yield None
             return
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
+        record = self._open(name, attrs)
+        stack = self._local.stack
         stack.append(name)
-        record: Dict = {
-            "name": name,
-            "path": "/".join(stack),
-            "worker": worker_id(),
-            **attrs,
-        }
         start = time.time()
         cpu0 = time.process_time()
         wall0 = time.perf_counter()
         try:
             yield record
         finally:
-            record["wall_s"] = time.perf_counter() - wall0
-            record["cpu_s"] = time.process_time() - cpu0
-            record["start_s"] = start
             stack.pop()
-            with self._lock:
-                self._spans.append(record)
+            self._close(record, start, time.perf_counter() - wall0,
+                        time.process_time() - cpu0)
 
     def timed_iter(self, name: str, items: Iterable,
                    **attrs) -> Iterator:
@@ -116,13 +106,7 @@ class SpanCollector:
         return self._timed(name, iter(items), attrs)
 
     def _timed(self, name: str, items: Iterator, attrs: Dict) -> Iterator:
-        stack = getattr(self._local, "stack", None) or []
-        record: Dict = {
-            "name": name,
-            "path": "/".join(stack + [name]),
-            "worker": worker_id(),
-            **attrs,
-        }
+        record = self._open(name, attrs)
         start = time.time()
         wall = cpu = 0.0
         try:
@@ -138,11 +122,28 @@ class SpanCollector:
                     cpu += time.process_time() - cpu0
                 yield item
         finally:
-            record["wall_s"] = wall
-            record["cpu_s"] = cpu
-            record["start_s"] = start
-            with self._lock:
-                self._spans.append(record)
+            self._close(record, start, wall, cpu)
+
+    def _open(self, name: str, attrs: Dict) -> Dict:
+        """A new span record nested under this thread's open spans."""
+        stack = getattr(self._local, "stack", None)
+        if stack is None:
+            stack = self._local.stack = []
+        return {
+            "name": name,
+            "path": "/".join(stack + [name]),
+            "worker": worker_id(),
+            **attrs,
+        }
+
+    def _close(self, record: Dict, start: float, wall: float,
+               cpu: float) -> None:
+        """Stamp a record's timings and append it to the collector."""
+        record["wall_s"] = wall
+        record["cpu_s"] = cpu
+        record["start_s"] = start
+        with self._lock:
+            self._spans.append(record)
 
     def merge(self, spans: Iterable[Dict]) -> None:
         """Fold externally produced spans in (worker payload deltas)."""

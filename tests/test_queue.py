@@ -466,6 +466,21 @@ class TestQueueWorker:
             assert q.get(mine.key()).state == "done"
             assert report.completed >= 1
 
+    def test_pool_watch_keys_stop_leasing_once_settled(self, tmp_path):
+        mine, *theirs = _requests(13)
+        with JobQueue(tmp_path / "q.sqlite") as q:
+            q.dispatch(_keyed([mine] + theirs))
+            # a refilled slot must not pull unrelated work once the
+            # watched key settles: only what is in flight then finishes
+            worker = QueueWorker(q, jobs=2, policy=FAST)
+            report = worker.run(watch_keys=[mine.key()])
+            assert q.get(mine.key()).state == "done"
+            states = q.states([r.key() for r in theirs])
+            assert sum(state == "pending" for state in states.values()) \
+                >= len(theirs) - 3
+            assert report.completed <= 4
+            assert q.counts()["leased"] == 0
+
     def test_max_idle_bounds_an_empty_queue_wait(self, tmp_path):
         with JobQueue(tmp_path / "q.sqlite") as q:
             q.dispatch([("k1", "r1")])
@@ -517,8 +532,9 @@ class TestSlidingWindow:
         # keys[1] runs beside keys[0]; the slot it frees goes to
         # keys[2], which hangs too but started later, so its deadline
         # falls after keys[0]'s: it is in flight, not expired, when
-        # keys[0] times out.
-        requests[1] = _request(policy="none", trace_length=20_000)
+        # keys[0] times out.  keys[1]'s run time is that gap; the 3 s
+        # budget leaves it ample headroom on a loaded host.
+        requests[1] = _request(policy="none", trace_length=40_000)
         keys = [r.key() for r in requests]
         hung, sibling = keys[0], keys[2]
         failures = []
@@ -529,7 +545,7 @@ class TestSlidingWindow:
                 policy=ExecutionPolicy(max_retries=2, backoff_s=0.0,
                                        backoff_factor=1.0,
                                        jitter_fraction=0.0,
-                                       timeout_s=1.0),
+                                       timeout_s=3.0),
                 faults=_hanging(keys, [hung, sibling], hang_s=30.0),
                 on_failure=lambda failure, retrying: failures.append(
                     (failure.key, failure.kind, retrying)))
